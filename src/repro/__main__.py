@@ -128,30 +128,44 @@ def _cmd_scenario_run(arguments: argparse.Namespace) -> int:
         f"({len(run.observations)} observations)"
     )
     report = execute_run(run)
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
     if arguments.report:
         import json
 
         with open(arguments.report, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"report written to {arguments.report}")
-    print("oracle PASSED" if report["ok"] else "oracle FAILED")
+    return _verdict(report, "oracle", arguments.report)
+
+
+def _verdict(
+    report: dict, label: str, report_path: str | None, *summary: str
+) -> int:
+    """Print a drill report's checks, summary lines and verdict.
+
+    Returns the command's exit status: 0 when every check held.
+    """
+    for name, check in sorted(report["checks"].items()):
+        status = "ok  " if check["ok"] else "FAIL"
+        detail = f" ({check['detail']})" if check["detail"] else ""
+        print(f"  [{status}] {name}{detail}")
+    for line in summary:
+        print(line)
+    if report_path:
+        print(f"report written to {report_path}")
+    print(f"{label} PASSED" if report["ok"] else f"{label} FAILED")
     return 0 if report["ok"] else 1
 
 
 def _cmd_smoke(arguments: argparse.Namespace) -> int:
-    """The standing production smoke drill (see :mod:`repro.workload.smoke`).
+    """The standing production smoke drill (see :mod:`repro.serve.drill`).
 
     Streams an open-world generated workload through the durable
     serving stack and audits exactly-once sink delivery, oracle-exact
     detections, distinct-EPC cardinality and frontier agreement.  Exit
     status 0 means every check held.
     """
-    from .workload.smoke import SMOKE_PROFILES, run_smoke_drill
+    from .serve.drill import run_smoke_drill
+    from .workload.smoke import SMOKE_PROFILES
 
     chaos = None
     if arguments.duplicates or arguments.disorder:
@@ -185,23 +199,16 @@ def _cmd_smoke(arguments: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"smoke: {exc.args[0]}")
         return 2
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
-    print(
+    summary = [
         f"throughput: {report['observations']} observations "
         f"({report['distinct_epcs']} distinct EPCs) in "
         f"{report['elapsed_seconds']:.2f}s = "
         f"{report['events_per_second']:.0f} events/s "
         f"over {report['transport']}"
-    )
+    ]
     if report.get("chaos"):
-        print(f"chaos: {report['chaos']}")
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("smoke PASSED" if report["ok"] else "smoke FAILED")
-    return 0 if report["ok"] else 1
+        summary.append(f"chaos: {report['chaos']}")
+    return _verdict(report, "smoke", arguments.report, *summary)
 
 
 def _load_rules(path: str):
@@ -446,31 +453,24 @@ def _cmd_chaos_serve(arguments: argparse.Namespace) -> int:
         report_path=arguments.report,
         scenario=arguments.scenario,
     )
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
     faults = report["faults"]
-    print(
+    clients = report["clients"]
+    return _verdict(
+        report,
+        "drill",
+        arguments.report,
         f"faults: {faults['fragments']} fragments, "
         f"{faults['corruptions']} corruptions, {faults['resets']} resets, "
-        f"{faults['stalls']} stalls over {faults['chunks']} chunks"
-    )
-    clients = report["clients"]
-    print(
+        f"{faults['stalls']} stalls over {faults['chunks']} chunks",
         f"clients: v1 reconnects={clients['v1']['reconnects']} "
         f"heartbeats={clients['v1']['heartbeats']}; "
         f"v2 reconnects={clients['v2']['reconnects']} "
-        f"heartbeats={clients['v2']['heartbeats']}"
+        f"heartbeats={clients['v2']['heartbeats']}",
     )
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("drill PASSED" if report["ok"] else "drill FAILED")
-    return 0 if report["ok"] else 1
 
 
 def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
-    """The skew drill (see :mod:`repro.serve.skew_drill`).
+    """The skew drill (see :mod:`repro.serve.drill`).
 
     A seeded ChaosInjector perturbs an interleaved packing + smart-shelf
     stream with clock skew, out-of-order spikes and duplicate bursts; a
@@ -480,7 +480,7 @@ def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
     exactly once, with real retractions along the way.  Exit status 0
     means every check held.
     """
-    from .serve.skew_drill import run_chaos_skew_drill
+    from .serve.drill import run_chaos_skew_drill
 
     print(
         f"chaos skew drill: seed={arguments.seed} cases={arguments.cases} "
@@ -494,29 +494,22 @@ def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         report_path=arguments.report,
     )
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
     engine = report["engine"]
-    print(
+    outbox = report["outbox"]
+    return _verdict(
+        report,
+        "drill",
+        arguments.report,
         f"speculation: {engine['speculative']} provisional, "
         f"{engine['revised']} revised, {engine['retracted']} retracted, "
-        f"{engine['sealed']} sealed final"
-    )
-    outbox = report["outbox"]
-    print(
+        f"{engine['sealed']} sealed final",
         f"outbox: {outbox['held']} held, {outbox['cancelled']} cancelled, "
-        f"{outbox['timed_out']} timed out"
+        f"{outbox['timed_out']} timed out",
     )
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("drill PASSED" if report["ok"] else "drill FAILED")
-    return 0 if report["ok"] else 1
 
 
 def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
-    """The cluster kill/recover drill (see :mod:`repro.serve.cluster_drill`).
+    """The cluster kill/recover drill (see :mod:`repro.serve.drill`).
 
     A router fans a packing workload out to shard-worker subprocesses;
     one worker is SIGKILLed mid-stream with batches in flight, respawned
@@ -524,7 +517,7 @@ def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
     exactly-once sink deliveries and push dedup against an in-process
     baseline.  Exit status 0 means every check held.
     """
-    from .serve.cluster_drill import run_cluster_drill
+    from .serve.drill import run_cluster_drill
 
     print(
         f"chaos cluster drill: seed={arguments.seed} "
@@ -540,24 +533,17 @@ def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         report_path=arguments.report,
     )
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
     router = report["router"]
-    print(
+    return _verdict(
+        report,
+        "drill",
+        arguments.report,
         f"router: {router['routed']} routed over {router['epochs']} epochs, "
         f"{router['detections_forwarded']} detections forwarded, "
-        f"{router['worker_reconnects']} link reconnects"
-    )
-    print(
+        f"{router['worker_reconnects']} link reconnects",
         f"victim: {report['victim']} (shards {report['victim_shards']}), "
-        f"assignment {report['assignment']}"
+        f"assignment {report['assignment']}",
     )
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("drill PASSED" if report["ok"] else "drill FAILED")
-    return 0 if report["ok"] else 1
 
 
 def _cmd_cluster(arguments: argparse.Namespace) -> int:

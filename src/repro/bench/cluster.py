@@ -110,7 +110,7 @@ def _build_workload(n_events: int):
     """(program text, stream, expected detection count)."""
     from ..core.detector import Engine
     from ..lang import parse_rules
-    from ..serve.cluster_drill import cluster_program
+    from ..serve.drill import cluster_program
     from ..simulator import simulate_multi_packing
     from ..store import RfidStore
 

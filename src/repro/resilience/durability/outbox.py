@@ -77,32 +77,44 @@ def _format_line(record: dict) -> bytes:
     return b"%08x %s\n" % (zlib.crc32(body), body)
 
 
-def read_journal(path: str) -> list[OutboxEntry]:
-    """Decode a journal's valid prefix (read-only; used by ``wal inspect``).
+def _decode_journal(path: str) -> tuple[list[dict], int, int]:
+    """``(records, valid_bytes, total_bytes)`` of a journal's valid prefix.
 
-    Stops silently at the first torn or checksum-failing line, mirroring
-    what :class:`ActionOutbox` accepts when it re-opens the journal.
+    Decoding stops at the first torn or checksum-failing line; a missing
+    journal decodes to nothing.
     """
-    entries: list[OutboxEntry] = []
     try:
         with open(path, "rb") as handle:
             lines = handle.readlines()
     except FileNotFoundError:
-        return entries
+        return [], 0, 0
+    records: list[dict] = []
+    valid_bytes = 0
     for line in lines:
         if not line.endswith(b"\n") or len(line) < 10:
-            break
+            break  # torn tail
         crc_hex, _, body = line[:-1].partition(b" ")
         try:
             if zlib.crc32(body) != int(crc_hex, 16):
                 break
         except ValueError:
             break
-        record = json.loads(body.decode())
-        entries.append(
-            OutboxEntry(record["op"], record["seq"], record["ord"], record)
-        )
-    return entries
+        records.append(json.loads(body.decode()))
+        valid_bytes += len(line)
+    return records, valid_bytes, sum(len(line) for line in lines)
+
+
+def read_journal(path: str) -> list[OutboxEntry]:
+    """Decode a journal's valid prefix (read-only; used by ``wal inspect``).
+
+    Stops silently at the first torn or checksum-failing line, mirroring
+    what :class:`ActionOutbox` accepts when it re-opens the journal.
+    """
+    records, _, _ = _decode_journal(path)
+    return [
+        OutboxEntry(record["op"], record["seq"], record["ord"], record)
+        for record in records
+    ]
 
 
 class ActionOutbox:
@@ -176,27 +188,11 @@ class ActionOutbox:
     # -- journal ------------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return
-        valid_bytes = 0
-        for line in lines:
-            if not line.endswith(b"\n") or len(line) < 10:
-                break  # torn tail
-            crc_hex, _, body = line[:-1].partition(b" ")
-            try:
-                expected = int(crc_hex, 16)
-            except ValueError:
-                break
-            if zlib.crc32(body) != expected:
-                break
-            record = json.loads(body.decode())
+        records, valid_bytes, total_bytes = _decode_journal(self.path)
+        for record in records:
             operation = record["op"]
             if operation == "m":
                 self._delivered_ids.update(record.get("dids", ()))
-                valid_bytes += len(line)
                 continue
             key = (record["seq"], record["ord"])
             if operation == "i":
@@ -206,9 +202,7 @@ class ActionOutbox:
                 self._in_flight.discard(key)
                 if record.get("did"):
                     self._delivered_ids.add(record["did"])
-            valid_bytes += len(line)
-        total = sum(len(line) for line in lines)
-        if valid_bytes < total:
+        if valid_bytes < total_bytes:
             # Self-heal the torn tail so appends start on a clean line.
             with open(self.path, "r+b") as handle:
                 handle.truncate(valid_bytes)

@@ -159,10 +159,15 @@ class ScenarioPack:
 
 
 def canon_detections(detections: Sequence) -> list:
-    """The canonical detection form shared with the serve drills."""
+    """The canonical detection form shared with the serve drills.
+
+    Takes engine detections (``rule`` is a rule) and wire
+    :class:`~repro.serve.protocol.DetectionFrame` records (``rule`` is
+    the rule id) alike.
+    """
     return [
         (
-            d.rule.rule_id,
+            getattr(d.rule, "rule_id", d.rule),
             round(d.time, 9),
             tuple(sorted(d.bindings.items())),
         )

@@ -21,9 +21,12 @@ that makes the repo an actual *server* for those streams:
   engine with its own WAL) behind a router that speaks the same wire
   protocol, with consistent-hash placement, deterministic detection
   fan-in, crash recovery and live shard migration;
-* :mod:`repro.serve.cluster_drill` — ``python -m repro chaos cluster``,
-  a scripted kill-a-worker-mid-stream drill asserting exactly-once
-  delivery end to end.
+* :mod:`repro.serve.faults` — seeded network fault injection
+  (:class:`NetworkFaultPlan`, :class:`ChaosProxy`);
+* :mod:`repro.serve.drill` — the drill harness behind ``python -m repro
+  chaos serve|skew|cluster`` and ``python -m repro smoke``: exactly-once
+  delivery asserted end to end under network faults, disorder and
+  crashes.
 
 Quickstart (see ``docs/serving.md`` for the full tour)::
 
@@ -62,7 +65,7 @@ from .cluster import (
     plan_cluster,
     run_worker,
 )
-from .cluster_drill import cluster_program, run_cluster_drill
+from .drill import cluster_program, run_cluster_drill
 from .faults import (
     ChaosProxy,
     FaultSchedule,

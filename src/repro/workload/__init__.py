@@ -15,15 +15,16 @@ over any workload-capable scenario pack (see
   implement to power generation;
 * :mod:`~repro.workload.generator` — episode scheduling with line
   backpressure, heap-merged into one time-ordered stream;
-* :mod:`~repro.workload.smoke` — ``python -m repro smoke``, the
-  standing production drill (exactly-once + oracle + cardinality
-  through the durable serving stack).
+* :mod:`~repro.workload.smoke` — the scale profiles and workload
+  builder of ``python -m repro smoke``, the standing production drill
+  (run by :func:`repro.serve.drill.run_smoke_drill`).
 """
 
+from ..serve.drill import run_smoke_drill
 from .episodes import Episode, EpisodeSource, TagStreams
 from .generator import GeneratedWorkload, WorkloadConfig, WorkloadStats
 from .shaping import ArrivalShaper, ShapingConfig
-from .smoke import SMOKE_PROFILES, SmokeProfile, run_smoke_drill
+from .smoke import SMOKE_PROFILES, SmokeProfile
 from .tags import TagUniverse
 from .zipf import ZipfSampler, zeta
 

@@ -683,3 +683,46 @@ class TestClientFrontiers:
         assert report.replayed_records == 0
         assert revived.client_frontiers == {"edge": 3}
         revived.close()
+
+
+class TestStoreBackedRecovery:
+    """The RFID store is part of the result: recovery must rebuild it too."""
+
+    @staticmethod
+    def _run(directory, stream, factory, crash):
+        counts = {}
+
+        def sink(detection, seq, ordinal):
+            rule_id = detection.rule.rule_id
+            counts[rule_id] = counts.get(rule_id, 0) + 1
+
+        durable = DurableEngine(
+            factory, directory, checkpoint_every=100, sink=sink
+        )
+        half = len(stream) // 2
+        if crash:
+            durable.submit_many(stream[:half])
+            durable.close()
+            durable, _ = DurableEngine.recover(
+                factory, directory, checkpoint_every=100, sink=sink
+            )
+            durable.submit_many(stream[half:])
+        else:
+            durable.submit_many(stream)
+        dump = durable.engine.store.database.dump()
+        durable.close()
+        return counts, dump
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: store not in checkpoint"
+    )
+    def test_recover_matches_uninterrupted_store_and_sink(self, tmp_path):
+        from repro.scenarios import get_pack
+
+        run = get_pack("returns-fraud").build(seed=3, size=600)
+        factory = run.engine_factory()
+        stream = list(run.observations)
+        expected = self._run(str(tmp_path / "whole"), stream, factory, False)
+        revived = self._run(str(tmp_path / "crash"), stream, factory, True)
+        assert revived[0] == expected[0]
+        assert revived[1] == expected[1]

@@ -14,8 +14,11 @@ import json
 
 import pytest
 
-from repro.serve.drill import default_fault_plan, run_chaos_serve_drill
-from repro.serve.skew_drill import run_chaos_skew_drill
+from repro.serve.drill import (
+    default_fault_plan,
+    run_chaos_serve_drill,
+    run_chaos_skew_drill,
+)
 
 pytestmark = pytest.mark.chaos
 

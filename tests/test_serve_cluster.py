@@ -9,7 +9,6 @@ The subprocess + SIGKILL variant is ``python -m repro chaos cluster``.
 """
 
 import asyncio
-import json
 import os
 
 import pytest
@@ -24,12 +23,15 @@ from repro.resilience.durability.engine import (
 from repro.serve import ClientError, ErrorFrame, RetryConfig, encode_frame
 from repro.serve.client import AsyncClient, tcp_connector
 from repro.serve.cluster import (
-    SINK_FILENAME,
     Cluster,
     HashRing,
     plan_cluster,
 )
-from repro.serve.cluster_drill import cluster_program, run_cluster_drill
+from repro.serve.drill import (
+    cluster_program,
+    read_worker_sinks,
+    run_cluster_drill,
+)
 from repro.simulator import simulate_multi_packing
 from repro.store import RfidStore
 
@@ -211,27 +213,10 @@ class TestClusterRecovery:
         assert len(pushed) == len(set(pushed))
         assert set(pushed) <= set(expected) and pushed
 
-        deliveries = []
-        for shard, node in plan.assignment.items():
-            sink_path = os.path.join(directory, node, shard, SINK_FILENAME)
-            if not os.path.exists(sink_path):
-                continue
-            with open(sink_path, encoding="utf-8") as handle:
-                for line in handle:
-                    payload = json.loads(line)
-                    deliveries.append(
-                        (
-                            (shard, payload["seq"], payload["ordinal"]),
-                            (
-                                payload["rule"],
-                                round(payload["time"], 9),
-                                tuple(sorted(payload["bindings"].items())),
-                            ),
-                        )
-                    )
-        keys = [key for key, _ in deliveries]
+        deliveries = list(read_worker_sinks(directory, plan))
+        keys = [(shard, frame.seq, frame.ordinal) for shard, frame in deliveries]
         assert len(keys) == len(set(keys))
-        assert sorted(canon for _, canon in deliveries) == expected
+        assert canon_frames(frame for _, frame in deliveries) == expected
 
     def test_inprocess_drill_passes(self, tmp_path):
         report = run_cluster_drill(
@@ -242,6 +227,7 @@ class TestClusterRecovery:
             directory=str(tmp_path / "drill"),
             inprocess=True,
             timeout=60.0,
+            report_path=str(tmp_path / "report.json"),
         )
         failed = {
             name: entry
@@ -249,6 +235,8 @@ class TestClusterRecovery:
             if not entry["ok"]
         }
         assert report["ok"], failed
+        assert report["report_path"] == str(tmp_path / "report.json")
+        assert os.path.exists(report["report_path"])
 
 
 class TestClusterMigration:

@@ -9,6 +9,7 @@ full``.
 """
 
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,13 @@ class TestClusterSmoke:
         assert report["ok"], report["checks"]
         assert report["transport"] == "cluster"
         assert report["checks"]["detections_match_oracle"]["ok"]
+        # The frontier is the router's view, not the client's own
+        # last_acked echoed three times: the routed count must cover
+        # every submitted observation.
+        detail = report["checks"]["frontier_agreement"]["detail"]
+        routed = re.search(r"routed=(\d+)", detail)
+        assert routed, detail
+        assert int(routed.group(1)) == report["observations"]
 
     def test_programless_pack_rejected_for_cluster(self, tmp_path):
         with pytest.raises(ValueError, match="rule-language program"):

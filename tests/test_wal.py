@@ -319,6 +319,30 @@ class TestOutbox:
             assert outbox.is_resolved(0, 0)
             assert not outbox.is_resolved(1, 0)
 
+    def test_torn_journal_truncated_and_read_back_agrees(self, tmp_path):
+        directory = str(tmp_path)
+        log = []
+        with ActionOutbox(directory, self._sink(log)) as outbox:
+            outbox.deliver("d0", 0, 0)
+            outbox.deliver("d1", 1, 0)
+            path = outbox.path
+        with open(path, "ab") as handle:
+            handle.write(b"0000dead {\"op\":")  # a torn, unterminated line
+        valid = os.path.getsize(path) - len(b"0000dead {\"op\":")
+        with ActionOutbox(directory, self._sink(log)) as outbox:
+            # Re-opening heals the tail: the file is cut back to the
+            # valid prefix so new appends start on a clean line.
+            assert os.path.getsize(path) == valid
+            entries = read_journal(path)
+            resolved = {
+                (entry.seq, entry.ordinal)
+                for entry in entries
+                if entry.op in ("a", "d")
+            }
+            assert resolved == {(0, 0), (1, 0)}
+            assert all(outbox.is_resolved(*key) for key in resolved)
+            assert outbox.in_flight == set()
+
     def test_compact_drops_covered_entries(self, tmp_path):
         directory = str(tmp_path)
         log = []
