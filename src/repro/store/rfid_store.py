@@ -8,7 +8,9 @@ temporal model of the paper's reference [2] (Wang & Liu, VLDB 2005).
 
 Rule actions may use either interface: SQL templates execute against
 ``store.database``; condition callables and applications usually prefer
-the typed methods (:meth:`location_of`, :meth:`contents_of`, ...).
+the typed methods (:meth:`location_of`, :meth:`contents_of`, ...).  The
+per-object and per-reader helpers read the schema's hash indexes
+directly (:meth:`~repro.sql.Table.lookup`), one probe per call.
 """
 
 from __future__ import annotations
@@ -38,17 +40,14 @@ class RfidStore:
     def place_reader(self, reader: str, location: str) -> None:
         """Record (or move) a reader's physical location."""
         table = self.database.table("READERLOCATION")
-        for row in table.rows:
-            if row["reader_epc"] == reader:
-                row["loc_id"] = location  # not indexed; plain update suffices
-                return
+        for row in table.lookup("reader_epc", reader):
+            row["loc_id"] = location  # not indexed; plain update suffices
+            return
         table.insert([reader, location])
 
     def reader_location(self, reader: str) -> Optional[str]:
-        rows = self.database.query(
-            "SELECT loc_id FROM READERLOCATION WHERE reader_epc = r", {"r": reader}
-        )
-        return rows[0][0] if rows else None
+        rows = self.database.table("READERLOCATION").lookup("reader_epc", reader)
+        return rows[0]["loc_id"] if rows else None
 
     # -- observations -----------------------------------------------------------
 
@@ -58,12 +57,8 @@ class RfidStore:
     def observations_of(self, obj: str) -> list[tuple[str, float]]:
         """(reader, timestamp) pairs for one object, in insertion order."""
         return [
-            (reader, timestamp)
-            for reader, timestamp in self.database.query(
-                "SELECT reader_epc, timestamp FROM OBSERVATION "
-                "WHERE object_epc = o",
-                {"o": obj},
-            )
+            (row["reader_epc"], row["timestamp"])
+            for row in self.database.table("OBSERVATION").lookup("object_epc", obj)
         ]
 
     # -- locations (Rule 3 semantics) -------------------------------------------
@@ -84,19 +79,14 @@ class RfidStore:
         self.database.table("OBJECTLOCATION").insert([obj, location, timestamp, UC])
 
     def _current_location_row(self, obj: str):
-        table = self.database.table("OBJECTLOCATION")
-        where = None
-        for row in table.candidate_rows(_EQ_OBJECT, {"o": obj}):
-            if row["object_epc"] == obj and row["tend"] == UC:
+        for row in self.database.table("OBJECTLOCATION").lookup("object_epc", obj):
+            if row["tend"] == UC:
                 return row
         return None
 
     def location_of(self, obj: str, at: Optional[float] = None) -> Optional[str]:
         """The object's location now (``at=None``) or at a past instant."""
-        table = self.database.table("OBJECTLOCATION")
-        for row in table.candidate_rows(_EQ_OBJECT, {"o": obj}):
-            if row["object_epc"] != obj:
-                continue
+        for row in self.database.table("OBJECTLOCATION").lookup("object_epc", obj):
             if at is None:
                 if row["tend"] == UC:
                     return row["loc_id"]
@@ -106,12 +96,9 @@ class RfidStore:
 
     def location_history(self, obj: str) -> list[tuple[str, float, object]]:
         """(location, tstart, tend) periods for an object, chronological."""
-        rows = self.database.query(
-            "SELECT loc_id, tstart, tend FROM OBJECTLOCATION WHERE object_epc = o "
-            "ORDER BY tstart",
-            {"o": obj},
-        )
-        return list(rows)
+        rows = self.database.table("OBJECTLOCATION").lookup("object_epc", obj)
+        rows.sort(key=lambda row: row["tstart"])  # stable: ties keep index order
+        return [(row["loc_id"], row["tstart"], row["tend"]) for row in rows]
 
     def objects_at(self, location: str, at: Optional[float] = None) -> list[str]:
         """Objects at a location now or at a past instant."""
@@ -139,8 +126,8 @@ class RfidStore:
     def end_containment(self, child: str, timestamp: float) -> bool:
         """Close the child's open containment period, if any."""
         table = self.database.table("OBJECTCONTAINMENT")
-        for row in table.candidate_rows(_EQ_OBJECT, {"o": child}):
-            if row["object_epc"] == child and row["tend"] == UC:
+        for row in table.lookup("object_epc", child):
+            if row["tend"] == UC:
                 row["tend"] = timestamp
                 return True
         return False
@@ -254,9 +241,3 @@ class RfidStore:
             for name, table in self.database.tables.items()
             if name not in ("CONTAINMENT",)  # alias, not a second table
         }
-
-
-# A tiny pre-parsed WHERE used for index probes of object_epc = o.
-from ..sql import parse as _parse  # noqa: E402  (kept at bottom intentionally)
-
-_EQ_OBJECT = _parse("SELECT * FROM OBSERVATION WHERE object_epc = o").where
